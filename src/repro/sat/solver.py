@@ -4,8 +4,10 @@ This is the reproduction's stand-in for MiniSat / Lingeling /
 CryptoMiniSat5.  It implements the standard modern architecture the paper
 relies on:
 
-* two-literal watching for unit propagation,
-* VSIDS variable activities with phase saving,
+* two-literal watching for unit propagation over a literal-indexed value
+  array (one list index per watch check),
+* VSIDS variable activities with phase saving, picked from a binary heap
+  that holds at most one live entry per variable,
 * first-UIP conflict analysis with clause minimisation,
 * Luby restarts and activity-based learnt-database reduction,
 * **conflict budgets** (the paper bounds the solver by conflicts, not time,
@@ -25,7 +27,11 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .clause import Clause
-from .types import FALSE, TRUE, UNDEF, lit_neg, lit_var
+from .types import FALSE, TRUE, UNDEF, lit_neg
+
+#: ``Solver._heap_key`` value of a variable with no live heap entry
+#: (activities are never negative).
+NO_ENTRY = -1.0
 
 #: Result of :meth:`Solver.solve`.
 SAT = True
@@ -91,7 +97,11 @@ class Solver:
         self.clauses: List[Clause] = []
         self.learnts: List[Clause] = []
         self.watches: List[List[Clause]] = []
+        #: Per-variable TRUE/FALSE/UNDEF: the public view of the trail.
         self.assign: List[int] = []
+        #: Per-literal TRUE/FALSE/UNDEF, written beside ``assign`` so the
+        #: hot loops read a literal's value with one index.
+        self.litval: List[int] = []
         self.level: List[int] = []
         self.reason: List[Optional[Clause]] = []
         self.activity: List[float] = []
@@ -101,7 +111,13 @@ class Solver:
         self.qhead = 0
         self.var_inc = 1.0
         self.cla_inc = 1.0
+        # VSIDS order: (-activity, var) entries.  Bumps leave stale
+        # entries behind; _heap_key[v] is the activity of v's one live
+        # entry, or NO_ENTRY, so no variable is pushed twice at one key.
         self._heap: List[Tuple[float, int]] = []
+        self._heap_key: List[float] = []
+        # analyze() scratch, all False between calls.
+        self._seen: List[bool] = []
         self.ok = True
         self.model: List[int] = []
         # Statistics.
@@ -129,6 +145,9 @@ class Solver:
         self.watches.append([])
         self.watches.append([])
         self.assign.append(UNDEF)
+        self.litval.append(UNDEF)
+        self.litval.append(UNDEF)
+        self._seen.append(False)
         self.level.append(0)
         self.reason.append(None)
         self.activity.append(0.0)
@@ -137,6 +156,7 @@ class Solver:
         else:
             self.polarity.append(self.config.default_phase)
         heapq.heappush(self._heap, (0.0, v))
+        self._heap_key.append(0.0)
         return v
 
     def ensure_vars(self, n: int) -> None:
@@ -146,10 +166,7 @@ class Solver:
 
     def value_lit(self, lit: int) -> int:
         """TRUE/FALSE/UNDEF value of a literal under the current trail."""
-        a = self.assign[lit >> 1]
-        if a == UNDEF:
-            return UNDEF
-        return a ^ (lit & 1)
+        return self.litval[lit]
 
     @property
     def decision_level(self) -> int:
@@ -219,7 +236,9 @@ class Solver:
     def _unchecked_enqueue(self, lit: int, reason: Optional[Clause]) -> None:
         v = lit >> 1
         self.assign[v] = TRUE ^ (lit & 1)
-        self.level[v] = self.decision_level
+        self.litval[lit] = TRUE
+        self.litval[lit ^ 1] = FALSE
+        self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
 
@@ -233,21 +252,35 @@ class Solver:
         return True
 
     def cancel_until(self, target_level: int) -> None:
-        """Backtrack, unassigning everything above ``target_level``."""
-        if self.decision_level <= target_level:
+        """Backtrack, unassigning everything above ``target_level``.
+
+        An unassigned variable goes back on the VSIDS heap only when it
+        has no live entry at its current activity.
+        """
+        trail, trail_lim = self.trail, self.trail_lim
+        if len(trail_lim) <= target_level:
             return
-        bound = self.trail_lim[target_level]
-        for i in range(len(self.trail) - 1, bound - 1, -1):
-            lit = self.trail[i]
+        assign, litval, reason = self.assign, self.litval, self.reason
+        activity, heap, heap_key = self.activity, self._heap, self._heap_key
+        polarity = self.polarity if self.config.phase_saving else None
+        push = heapq.heappush
+        bound = trail_lim[target_level]
+        for i in range(len(trail) - 1, bound - 1, -1):
+            lit = trail[i]
             v = lit >> 1
-            if self.config.phase_saving:
-                self.polarity[v] = not (lit & 1)
-            self.assign[v] = UNDEF
-            self.reason[v] = None
-            heapq.heappush(self._heap, (-self.activity[v], v))
-        del self.trail[bound:]
-        del self.trail_lim[target_level:]
-        self.qhead = len(self.trail)
+            if polarity is not None:
+                polarity[v] = not (lit & 1)
+            assign[v] = UNDEF
+            litval[lit] = UNDEF
+            litval[lit ^ 1] = UNDEF
+            reason[v] = None
+            act = activity[v]
+            if heap_key[v] != act:
+                heap_key[v] = act
+                push(heap, (-act, v))
+        del trail[bound:]
+        del trail_lim[target_level:]
+        self.qhead = len(trail)
         if self.xor_engine is not None:
             self.xor_engine.on_backtrack()
 
@@ -268,69 +301,77 @@ class Solver:
                 return None
 
     def _propagate_cnf(self) -> Optional[Clause]:
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            self.num_propagations += 1
-            ws = self.watches[p]
+        trail, watches, litval = self.trail, self.watches, self.litval
+        assign, level, reason = self.assign, self.level, self.reason
+        lvl = len(self.trail_lim)
+        qhead = self.qhead
+        confl = None
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
+            false_lit = p ^ 1
             new_ws: List[Clause] = []
-            i = 0
-            n = len(ws)
-            confl = None
-            while i < n:
-                c = ws[i]
-                i += 1
+            keep = new_ws.append
+            it = iter(watches[p])
+            for c in it:
                 lits = c.lits
                 # Ensure the falsified watch (¬p) sits at position 1.
-                false_lit = p ^ 1
-                if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                fv = self.assign[first >> 1]
-                if fv != UNDEF and fv ^ (first & 1) == TRUE:
-                    new_ws.append(c)
+                if first == false_lit:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = false_lit
+                fv = litval[first]
+                if fv == TRUE:
+                    keep(c)
                     continue
                 # Look for a replacement watch.
-                found = False
                 for k in range(2, len(lits)):
                     l = lits[k]
-                    lv = self.assign[l >> 1]
-                    if lv == UNDEF or lv ^ (l & 1) == TRUE:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self.watches[lit_neg(lits[1])].append(c)
-                        found = True
+                    if litval[l] != FALSE:
+                        lits[1] = l
+                        lits[k] = false_lit
+                        watches[l ^ 1].append(c)
                         break
-                if found:
-                    continue
-                new_ws.append(c)
-                if fv != UNDEF:  # first is false -> conflict
-                    confl = c
-                    # Copy remaining watchers and bail out.
-                    new_ws.extend(ws[i:])
-                    break
-                self._unchecked_enqueue(first, c)
-            self.watches[p] = new_ws
+                else:
+                    keep(c)
+                    if fv == FALSE:  # every literal false -> conflict
+                        confl = c
+                        # Keep the remaining watchers and bail out.
+                        new_ws.extend(it)
+                        break
+                    # Unit: enqueue ``first`` (_unchecked_enqueue inlined).
+                    v = first >> 1
+                    assign[v] = TRUE ^ (first & 1)
+                    litval[first] = TRUE
+                    litval[first ^ 1] = FALSE
+                    level[v] = lvl
+                    reason[v] = c
+                    trail.append(first)
+            watches[p] = new_ws
             if confl is not None:
-                return confl
-        return None
+                break
+        self.num_propagations += qhead - self.qhead
+        self.qhead = qhead
+        return confl
 
     # -- conflict analysis --------------------------------------------------------
 
-    def _bump_var(self, v: int) -> None:
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
-            for u in range(self.n_vars):
-                self.activity[u] *= 1e-100
-            self.var_inc *= 1e-100
-            self._heap = [
-                (-self.activity[u], u)
-                for u in range(self.n_vars)
-                if self.assign[u] == UNDEF
-            ]
-            heapq.heapify(self._heap)
-            return
-        if self.assign[v] == UNDEF:
-            heapq.heappush(self._heap, (-self.activity[v], v))
+    def _rescale_activities(self) -> None:
+        """Scale every activity by 1e-100 and rebuild the heap over the
+        unassigned variables, one live entry each."""
+        activity, assign = self.activity, self.assign
+        for u in range(self.n_vars):
+            activity[u] *= 1e-100
+        self.var_inc *= 1e-100
+        heap_key = [NO_ENTRY] * self.n_vars
+        heap = []
+        for u in range(self.n_vars):
+            if assign[u] == UNDEF:
+                heap_key[u] = activity[u]
+                heap.append((-activity[u], u))
+        heapq.heapify(heap)
+        self._heap, self._heap_key = heap, heap_key
 
     def _bump_clause(self, c: Clause) -> None:
         c.activity += self.cla_inc
@@ -345,31 +386,40 @@ class Solver:
         Returns ``(learnt_clause, backtrack_level)`` with the asserting
         literal first.
         """
+        seen, level, reason = self._seen, self.level, self.reason
+        trail, activity = self.trail, self.activity
+        var_inc = self.var_inc
         learnt: List[int] = [0]
-        seen = [False] * self.n_vars
         counter = 0
         p = -1
-        index = len(self.trail) - 1
-        cur_level = self.decision_level
+        index = len(trail) - 1
+        cur_level = len(self.trail_lim)
         reason_side = confl
         while True:
             if reason_side.learnt:
                 self._bump_clause(reason_side)
-            start = 0 if p == -1 else 1
-            for q in reason_side.lits[start:]:
+            lits = reason_side.lits
+            for j in range(0 if p == -1 else 1, len(lits)):
+                q = lits[j]
                 v = q >> 1
-                if not seen[v] and self.level[v] > 0:
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    self._bump_var(v)
-                    if self.level[v] >= cur_level:
+                    # VSIDS bump.  Every analysed variable is assigned,
+                    # so none is due a heap push here; cancel_until
+                    # re-queues it at its new activity.
+                    activity[v] += var_inc
+                    if activity[v] > 1e100:
+                        self._rescale_activities()
+                        var_inc = self.var_inc
+                    if level[v] >= cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[self.trail[index] >> 1]:
+            while not seen[trail[index] >> 1]:
                 index -= 1
-            p = self.trail[index]
+            p = trail[index]
             v = p >> 1
-            reason_side = self.reason[v]
+            reason_side = reason[v]
             seen[v] = False
             counter -= 1
             index -= 1
@@ -377,8 +427,12 @@ class Solver:
                 break
         learnt[0] = p ^ 1
 
-        if self.config.minimize_learnts and len(learnt) > 1:
+        # Only the non-asserting literals' variables are still marked.
+        marked = learnt[1:]
+        if self.config.minimize_learnts and marked:
             learnt = self._minimize(learnt, seen)
+        for l in marked:
+            seen[l >> 1] = False
 
         # Backtrack level: highest level among the non-asserting literals.
         if len(learnt) == 1:
@@ -386,29 +440,29 @@ class Solver:
         else:
             max_i = 1
             for i in range(2, len(learnt)):
-                if self.level[learnt[i] >> 1] > self.level[learnt[max_i] >> 1]:
+                if level[learnt[i] >> 1] > level[learnt[max_i] >> 1]:
                     max_i = i
             learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-            bt = self.level[learnt[1] >> 1]
+            bt = level[learnt[1] >> 1]
         return learnt, bt
 
     def _minimize(self, learnt: List[int], seen: List[bool]) -> List[int]:
-        """Local clause minimisation: drop literals implied by the rest."""
-        for l in learnt[1:]:
-            seen[l >> 1] = True
+        """Local clause minimisation: drop literals implied by the rest.
+
+        ``seen`` marks exactly the variables of ``learnt[1:]``.
+        """
+        reason, level = self.reason, self.level
         out = [learnt[0]]
         for l in learnt[1:]:
-            r = self.reason[l >> 1]
+            r = reason[l >> 1]
             if r is None:
                 out.append(l)
                 continue
-            redundant = all(
-                seen[q >> 1] or self.level[q >> 1] == 0
-                for q in r.lits
-                if q != lit_neg(l)
-            )
-            if not redundant:
-                out.append(l)
+            neg = l ^ 1
+            for q in r.lits:
+                if q != neg and not seen[q >> 1] and level[q >> 1] != 0:
+                    out.append(l)
+                    break
         return out
 
     # -- learnt database -----------------------------------------------------------
@@ -462,10 +516,15 @@ class Solver:
                 v = self._rng.randrange(self.n_vars)
                 if self.assign[v] == UNDEF:
                     return v
-        while self._heap:
-            act, v = heapq.heappop(self._heap)
-            if self.assign[v] == UNDEF and -act == self.activity[v]:
-                return v
+        heap, heap_key = self._heap, self._heap_key
+        assign, activity = self.assign, self.activity
+        pop = heapq.heappop
+        while heap:
+            act, v = pop(heap)
+            if -act == activity[v]:  # v's live entry, not a stale one
+                heap_key[v] = NO_ENTRY
+                if assign[v] == UNDEF:
+                    return v
         for v in range(self.n_vars):
             if self.assign[v] == UNDEF:
                 return v
