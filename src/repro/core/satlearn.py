@@ -303,6 +303,11 @@ def run_sat(
         status = solver.solve(conflict_budget=budget)
         span.set("status", _status_name(status))
         span.set("conflicts", solver.num_conflicts)
+        span.set("decisions", solver.num_decisions)
+        span.set("propagations", solver.num_propagations)
+        span.set("restarts", solver.num_restarts)
+        span.set("reductions", solver.num_reductions)
+        span.set("learnts", len(solver.learnts))
         result = SatLearnResult(
             status=status, conflicts=solver.num_conflicts, conversion=conversion
         )

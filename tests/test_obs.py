@@ -392,6 +392,42 @@ def test_bosphorus_trace_export_jsonl(tmp_path):
     assert "conversion.final" in names
 
 
+def test_in_process_sat_span_carries_solver_counters():
+    """The in-process ``sat.solve`` span reports every solver counter,
+    equal to a replay of the same solve (the search is deterministic)."""
+    from repro.anf import AnfSystem
+    from repro.ciphers import simon
+    from repro.core import run_sat
+    from repro.core.anf_to_cnf import AnfToCnf
+    from repro.sat import Solver
+
+    inst = simon.generate_instance(2, 4, seed=7)
+    system = AnfSystem(inst.ring, inst.polynomials)
+    tracer = Tracer()
+    run_sat(system, Config(), conflict_budget=300, tracer=tracer)
+    (span,) = [s for s in tracer.spans() if s["name"] == "sat.solve"]
+
+    replay = Solver()
+    formula = AnfToCnf(Config()).convert(system).formula
+    replay.ensure_vars(formula.n_vars)
+    for clause in formula.clauses:
+        replay.add_clause(clause)
+    replay.solve(conflict_budget=300)
+    assert {
+        key: span["attrs"][key]
+        for key in ("conflicts", "decisions", "propagations", "restarts",
+                    "reductions", "learnts")
+    } == {
+        "conflicts": replay.num_conflicts,
+        "decisions": replay.num_decisions,
+        "propagations": replay.num_propagations,
+        "restarts": replay.num_restarts,
+        "reductions": replay.num_reductions,
+        "learnts": len(replay.learnts),
+    }
+    assert span["attrs"]["propagations"] > 0
+
+
 # -- server jobs carry spans/metrics across the pickle boundary -------------
 
 
