@@ -37,6 +37,7 @@ VERDICT_SAT = "sat"
 VERDICT_UNSAT = "unsat"
 VERDICT_UNKNOWN = "unknown"
 VERDICT_CANCELLED = "cancelled"
+VERDICT_TIMEOUT = "timeout"
 
 
 @dataclass
@@ -126,7 +127,8 @@ def execute_job(
     within one conflict slice of the signal.
 
     The result dict always carries ``job_id``, ``verdict`` (one of
-    ``sat`` / ``unsat`` / ``unknown`` / ``cancelled``), ``model``,
+    ``sat`` / ``unsat`` / ``unknown`` / ``cancelled`` / ``timeout``),
+    ``model``,
     ``stats``, ``metrics`` (a :class:`repro.obs.MetricsRegistry`
     snapshot the pool merges into its service-wide counters) and —
     whenever a CNF was produced — ``cnf_sha256``, the hash of the exact
@@ -279,6 +281,14 @@ def execute_job(
         verdict = _status_to_verdict(res.status, cancel)
         if res.cancelled:
             verdict = VERDICT_CANCELLED
+        elif (
+            verdict == VERDICT_UNKNOWN
+            and remaining is not None
+            and time.perf_counter() - started >= spec.timeout_s
+        ):
+            # The solve stopped at the job's own deadline: the job timed
+            # out, whichever of it and the pool's watchdog saw it first.
+            verdict = VERDICT_TIMEOUT
         span.set("verdict", verdict)
         span.set("conflicts", res.conflicts)
     metrics.inc("backend_solves")

@@ -46,7 +46,7 @@ from typing import Callable, Deque, Dict, List, Optional
 
 from ..obs import MetricsRegistry
 from ..portfolio.batch import default_jobs, mp_context
-from .jobs import JobSpec, execute_job
+from .jobs import VERDICT_TIMEOUT, JobSpec, execute_job
 
 #: Flag-array value meaning "nothing to cancel on this slot".
 _IDLE = 0
@@ -416,7 +416,7 @@ class WorkerPool:
                         pass
             elif kind == "result":
                 if st.timed_out and payload.get("verdict") == "cancelled":
-                    payload["verdict"] = "timeout"
+                    payload["verdict"] = VERDICT_TIMEOUT
                 self._finish(st, payload)
             elif kind == "error":
                 self._finish(

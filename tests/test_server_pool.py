@@ -119,6 +119,15 @@ def test_deadline_reports_timeout_verdict():
     assert result["verdict"] == "timeout"
 
 
+def test_job_past_its_own_deadline_reports_timeout():
+    """The worker's deadline, not only the pool watchdog's, yields
+    ``timeout``: a solve stopped by the job deadline is no ``unknown``."""
+    result = execute_job(
+        JobSpec(fmt="dimacs", text=HARD, preprocess=False, timeout_s=0.3)
+    )
+    assert result["verdict"] == "timeout"
+
+
 def test_job_exception_is_isolated():
     with WorkerPool(jobs=1) as pool:
         bad = pool.submit(JobSpec(fmt="dimacs", text="p cnf not-a-header"))
