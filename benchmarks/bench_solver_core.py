@@ -13,6 +13,7 @@ against the sorted-tuple debug oracle (the pre-change representation at
 those widths) and assert the fallback-hit counter stays at zero.
 """
 
+import contextlib
 import random
 import statistics
 import time
@@ -60,14 +61,10 @@ def _paired_ratios(fn, rounds):  # repro: allow[MASK-PATH] the bench seed leg: t
     pair instead of landing on one leg's best-of minimum.
     """
     def timed(oracle):
-        if oracle:
-            with mono.tuple_oracle():
-                t0 = time.perf_counter()
-                fn()
-                return time.perf_counter() - t0
-        t0 = time.perf_counter()
-        fn()
-        return time.perf_counter() - t0
+        with mono.tuple_oracle() if oracle else contextlib.nullcontext():
+            t0 = time.perf_counter()
+            fn()
+            return time.perf_counter() - t0
 
     ratios = []
     for r in range(rounds):

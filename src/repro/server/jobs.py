@@ -128,8 +128,7 @@ def execute_job(
 
     The result dict always carries ``job_id``, ``verdict`` (one of
     ``sat`` / ``unsat`` / ``unknown`` / ``cancelled`` / ``timeout``),
-    ``model``,
-    ``stats``, ``metrics`` (a :class:`repro.obs.MetricsRegistry`
+    ``model``, ``stats``, ``metrics`` (a :class:`repro.obs.MetricsRegistry`
     snapshot the pool merges into its service-wide counters) and —
     whenever a CNF was produced — ``cnf_sha256``, the hash of the exact
     DIMACS a fresh run must reproduce bit-for-bit (warm
@@ -283,7 +282,7 @@ def execute_job(
             verdict = VERDICT_CANCELLED
         elif (
             verdict == VERDICT_UNKNOWN
-            and remaining is not None
+            and spec.timeout_s is not None
             and time.perf_counter() - started >= spec.timeout_s
         ):
             # The solve stopped at the job's own deadline: the job timed
