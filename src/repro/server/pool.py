@@ -28,20 +28,26 @@ layer's machinery to a persistent pool:
   next free worker; the slot respawns and keeps serving.  This mirrors
   the batch scheduler's death-isolation semantics.
 
-Events flow back over one shared result queue (safe to share: workers
-only *put*, and a writer dies holding no read lock the parent needs),
-drained by a reader thread that resolves waiters and forwards progress
-to per-job callbacks — the asyncio front end (:mod:`repro.server.app`)
-bridges those callbacks onto the event loop.
+Events flow back over *per-worker* pipes too, for the same reason in
+the other direction: a shared queue serialises its writers on one
+cross-process write lock, and a worker killed before its queue's feeder
+thread released that lock (even an idle worker, just after posting a
+result) would silence every later worker.  Each worker writes its own
+pipe synchronously, so an idle worker holds nothing; the parent keeps
+reading a dead worker's pipe until end-of-file, so events it posted
+before dying still arrive.  One reader thread multiplexes the pipes,
+resolves waiters and forwards progress to per-job callbacks — the
+asyncio front end (:mod:`repro.server.app`) bridges those callbacks onto
+the event loop.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_readable
 from typing import Callable, Deque, Dict, List, Optional
 
 from ..obs import MetricsRegistry
@@ -53,6 +59,9 @@ _IDLE = 0
 
 #: Watchdog sweep period (deadline resolution), seconds.
 SWEEP_INTERVAL_S = 0.05
+
+#: Longest the event reader blocks before re-reading its pipe list.
+READ_POLL_S = 0.2
 
 #: Dispatch attempts per job before a repeatedly-requeued job (its
 #: workers keep dying before starting it) is failed outright.
@@ -77,36 +86,40 @@ class _CancelToken:
         return self._flags[self._slot] == self._job_id
 
 
-def _worker_main(slot, job_queue, event_queue, cancel_flags, started_flags,
+def _worker_main(slot, job_queue, events, cancel_flags, started_flags,
                  cache_dir):
     """Daemon worker loop: pull a spec, execute, post events; ``None``
     is the shutdown sentinel.  Runs until told to stop or killed —
     crash isolation is the parent watchdog's job, not ours.
+
+    ``events`` is the write end of this worker's own event pipe; only
+    this (main) thread writes it, and each ``send`` has returned before
+    the next line runs, so no lock is held between events.
 
     ``started_flags[slot]`` is written (shared memory, instantly
     visible) before the job runs and cleared after its result is
     posted: the watchdog reads it to tell a job that died *mid-run*
     (fail it) from one still sitting unread in a dead worker's queue
     (requeue it) — the "started" event alone can lag in the event
-    queue past the moment the death is observed."""
+    pipe past the moment the death is observed."""
     while True:
         spec = job_queue.get()
         if spec is None:
             return
         started_flags[slot] = spec.job_id
-        event_queue.put(("started", spec.job_id, slot))
+        events.send(("started", spec.job_id, slot))
         token = _CancelToken(cancel_flags, slot, spec.job_id)
 
         def emit_progress(stage, payload, _jid=spec.job_id):
-            event_queue.put(("progress", _jid, {"stage": stage, **payload}))
+            events.send(("progress", _jid, {"stage": stage, **payload}))
 
         try:
             result = execute_job(
                 spec, cache_dir=cache_dir, cancel=token, progress=emit_progress
             )
-            event_queue.put(("result", spec.job_id, result))
+            events.send(("result", spec.job_id, result))
         except Exception as exc:
-            event_queue.put(
+            events.send(
                 ("error", spec.job_id,
                  "{}: {}".format(type(exc).__name__, exc))
             )
@@ -166,7 +179,12 @@ class WorkerPool:
         if self.n_workers < 1:
             raise ValueError("need at least one worker")
         self.cache_dir = cache_dir
-        self._event_queue = self._ctx.Queue()
+        # Read ends of the workers' event pipes, dead workers' included
+        # until drained to end-of-file; guarded by the pool lock.  The
+        # wake pipe interrupts the reader's wait when the list changes.
+        self._event_readers: List[object] = []
+        self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
+        self._stopping = False
         # Slot -> id of the job that slot must abandon (_IDLE = none).
         # Plain shared memory, no lock: single-writer per decision,
         # equality-compared on the worker side.
@@ -211,20 +229,27 @@ class WorkerPool:
         self.close()
 
     def _spawn(self, slot: int) -> None:
-        """(Re)create the worker on a slot, with a fresh private queue."""
+        """(Re)create the worker on a slot, with a fresh private job
+        queue and event pipe."""
         self._flags[slot] = _IDLE
         self._started[slot] = _IDLE
         job_queue = self._ctx.Queue()
+        event_r, event_w = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(slot, job_queue, self._event_queue, self._flags,
+            args=(slot, job_queue, event_w, self._flags,
                   self._started, self.cache_dir),
             name="solver-worker-{}".format(slot),
             daemon=True,
         )
         proc.start()
+        # The worker now holds the only write end, so its death reads
+        # as end-of-file; workers forked later do not inherit it.
+        event_w.close()
         self._worker_queues[slot] = job_queue
         self._workers[slot] = proc
+        self._event_readers.append(event_r)
+        self._wake_w.send_bytes(b"")
 
     def close(self, timeout: float = 5.0) -> None:
         """Stop accepting jobs, shut workers down, join the threads.
@@ -244,9 +269,16 @@ class WorkerPool:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=1.0)
-        self._event_queue.put(("stop", 0, None))
+        # Every worker has exited, so its events are all in its pipe:
+        # the reader drains what is ready and returns.
+        with self._lock:
+            self._stopping = True
+        self._wake_w.send_bytes(b"")
         self._reader.join(timeout=timeout)
         self._watchdog.join(timeout=timeout)
+        if not self._reader.is_alive():
+            for conn in self._event_readers + [self._wake_r, self._wake_w]:
+                conn.close()
 
     # -- submission -----------------------------------------------------------
 
@@ -383,46 +415,64 @@ class WorkerPool:
         st.done.set()
 
     def _read_events(self) -> None:
-        """Drain worker events: job starts, progress, results, errors."""
+        """Drain worker events from every live pipe until :meth:`close`
+        has joined the workers; a pipe is dropped at end-of-file (its
+        worker exited and everything it sent has been read)."""
         while True:
-            try:
-                kind, job_id, payload = self._event_queue.get(timeout=0.2)
-            except queue.Empty:
-                with self._lock:
-                    if self._closed:
-                        return
-                continue
-            if kind == "stop":
-                return
             with self._lock:
-                st = self._jobs.get(job_id)
-            if st is None:
-                continue
-            if kind == "started":
-                with self._lock:
-                    if st.state == "dispatched":
-                        st.state = "running"
-                        if st.spec.timeout_s is not None:
-                            st.deadline = (
-                                time.monotonic() + st.spec.timeout_s
-                            )
-                        if st.cancel_requested:
-                            self._flags[payload] = job_id
-            elif kind == "progress":
-                if st.on_event is not None:
-                    try:
-                        st.on_event("progress", payload)
-                    except Exception:
-                        pass
-            elif kind == "result":
-                if st.timed_out and payload.get("verdict") == "cancelled":
-                    payload["verdict"] = VERDICT_TIMEOUT
-                self._finish(st, payload)
-            elif kind == "error":
-                self._finish(
-                    st,
-                    {"job_id": job_id, "verdict": "error", "error": payload},
-                )
+                readers = list(self._event_readers)
+                stopping = self._stopping
+            ready = wait_readable(
+                readers + [self._wake_r],
+                timeout=0 if stopping else READ_POLL_S,
+            )
+            drained = True
+            for conn in ready:
+                if conn is self._wake_r:
+                    conn.recv_bytes()
+                    continue
+                drained = False
+                try:
+                    kind, job_id, payload = conn.recv()
+                except (EOFError, OSError):
+                    # End-of-file, or a message cut off by the death.
+                    with self._lock:
+                        self._event_readers.remove(conn)
+                    conn.close()
+                    continue
+                self._handle_event(kind, job_id, payload)
+            if stopping and drained:
+                return
+
+    def _handle_event(self, kind: str, job_id: int, payload) -> None:
+        """Apply one worker event: job start, progress, result, error."""
+        with self._lock:
+            st = self._jobs.get(job_id)
+        if st is None:
+            return
+        if kind == "started":
+            with self._lock:
+                if st.state == "dispatched":
+                    st.state = "running"
+                    if st.spec.timeout_s is not None:
+                        st.deadline = time.monotonic() + st.spec.timeout_s
+                    if st.cancel_requested:
+                        self._flags[payload] = job_id
+        elif kind == "progress":
+            if st.on_event is not None:
+                try:
+                    st.on_event("progress", payload)
+                except Exception:
+                    pass
+        elif kind == "result":
+            if st.timed_out and payload.get("verdict") == "cancelled":
+                payload["verdict"] = VERDICT_TIMEOUT
+            self._finish(st, payload)
+        elif kind == "error":
+            self._finish(
+                st,
+                {"job_id": job_id, "verdict": "error", "error": payload},
+            )
 
     def _watch(self) -> None:
         """Sweep deadlines and respawn dead workers."""

@@ -205,6 +205,20 @@ def test_idle_worker_death_respawns_cleanly():
         assert second["verdict"] == "sat"
 
 
+def test_dead_worker_event_pipe_is_dropped_at_eof():
+    # Each worker posts events on its own pipe, so a death can wedge no
+    # sibling; the reader drops the dead worker's pipe at end-of-file.
+    with WorkerPool(jobs=2, start_method="fork") as pool:
+        assert len(pool._event_readers) == 2
+        pool._workers[0].terminate()
+        deadline = time.monotonic() + 10
+        while pool.stats()["respawns"] == 0 or len(pool._event_readers) != 2:
+            assert time.monotonic() < deadline, "dead worker's pipe kept"
+            time.sleep(0.05)
+        jid = pool.submit(JobSpec(fmt="dimacs", text=EASY, preprocess=False))
+        assert pool.wait(jid, timeout=60)["verdict"] == "sat"
+
+
 def test_pool_rejects_submit_after_close():
     pool = WorkerPool(jobs=1)
     pool.close()
